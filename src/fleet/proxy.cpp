@@ -300,15 +300,19 @@ void FleetProxy::accept_ready() {
   }
 }
 
-void FleetProxy::read_ready(Session& s) {
+bool FleetProxy::read_ready(Session& s) {
   char buf[4096];
+  bool capped = true;
   for (int round = 0; round < 8 && !s.closing && !s.dead; ++round) {
     const fdio::IoResult r = fdio::read_some(s.fd, buf, sizeof buf);
-    if (r.would_block) break;
+    if (r.would_block) {
+      capped = false;
+      break;
+    }
     if (r.failed) {
       ++live_.io_errors;
       force_close(s);
-      return;
+      return false;
     }
     if (r.n == 0) {
       s.closing = true;
@@ -327,6 +331,7 @@ void FleetProxy::read_ready(Session& s) {
       s.frame_open_ms = -1;
     }
   }
+  return capped && !s.closing && !s.dead;
 }
 
 void FleetProxy::handle_frame(Session& s, net::Frame frame) {
@@ -1058,6 +1063,10 @@ void FleetProxy::run() {
       fd_backend.push_back(static_cast<int>(i));
     }
 
+    linger_.append_pollfds(&fds);
+    fd_session.resize(fds.size(), 0);
+    fd_backend.resize(fds.size(), -1);
+
     // Probe cadence, reconnect backoff and supervisor reaping all need
     // periodic ticks even when no fd fires.
     const int nready = ::poll(fds.data(), fds.size(), 20);
@@ -1067,6 +1076,12 @@ void FleetProxy::run() {
     if (stop_requested_.load(std::memory_order_acquire) && !draining_) {
       draining_ = true;
       drain_start = now_ms();
+      // Final read sweep, as in NetServer::run(): what arrived before the
+      // stop is accepted and answered; after it the drain reads nothing.
+      for (auto& [id, sp] : sessions_)
+        while (read_ready(*sp) &&
+               now_ms() - drain_start <= options_.drain_timeout_ms) {
+        }
       if (listener_ >= 0) ::close(listener_);
       listener_ = -1;
     }
@@ -1114,13 +1129,14 @@ void FleetProxy::run() {
     dispatch(now);
     step_fleet_op(now);
 
+    linger_.step(now);
     for (auto& [id, sp] : sessions_) {
       if (sp->dead) continue;
       resolve_fronts(*sp);
       flush_writes(*sp);
       enforce_timeouts(*sp, now);
       if (!sp->dead && sp->closing && sp->slots.empty() && sp->outbuf.empty()) {
-        ::close(sp->fd);
+        linger_.add(sp->fd, now + fdio::kLingerTimeoutMs);
         sp->fd = -1;
         sp->dead = true;
       }
@@ -1142,14 +1158,13 @@ void FleetProxy::run() {
       for (auto& [id, sp] : sessions_)
         if (!sp->dead && (!sp->slots.empty() || !sp->outbuf.empty()))
           work_left = true;
-      if (!work_left || now - drain_start > options_.drain_timeout_ms) {
+      const bool expired = now - drain_start > options_.drain_timeout_ms;
+      if (!work_left || expired) {
         for (auto& [id, sp] : sessions_)
-          if (!sp->dead) {
-            ::close(sp->fd);
-            sp->fd = -1;
-            sp->dead = true;
-          }
+          if (!sp->dead) linger_.add(sp->fd, now + fdio::kLingerTimeoutMs);
         sessions_.clear();
+        if (!linger_.empty() && !expired) continue;
+        linger_.close_all();
         for (auto& b : backends_)
           if (b->fd >= 0) {
             ::close(b->fd);

@@ -116,7 +116,10 @@ class FleetProxy {
 
   // Runs the event loop until request_stop(), then drains every accepted
   // request (dispatch and failover keep working during the drain) and
-  // returns. Does NOT shut the BackendSource down — the caller owns that
+  // returns. The drain first reads once more what clients have already
+  // sent — those frames count as accepted — then stops reading; client
+  // sessions close with FIN after late input is discarded, never with a
+  // reset. Does NOT shut the BackendSource down — the caller owns that
   // ordering (drain first, then stop backends).
   void run();
   void request_stop();  // async-signal-safe
@@ -131,7 +134,7 @@ class FleetProxy {
   struct FleetOp;
 
   void accept_ready();
-  void read_ready(Session& s);
+  bool read_ready(Session& s);  // true: the read cap, not EAGAIN, ended it
   void handle_frame(Session& s, net::Frame frame);
   void handle_command(Session& s, SessionSlot& slot,
                       std::vector<std::string> tokens);
@@ -170,6 +173,7 @@ class FleetProxy {
   fdio::WakePipe wake_;
   std::atomic<bool> stop_requested_{false};
   bool draining_ = false;
+  fdio::LingerSet linger_;  // closed sessions waiting for the peer's EOF
 
   std::uint64_t next_session_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;

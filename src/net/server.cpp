@@ -239,17 +239,21 @@ void NetServer::accept_ready(int listener) {
   }
 }
 
-void NetServer::read_ready(Session& s) {
+bool NetServer::read_ready(Session& s) {
   char buf[4096];
   // Bounded rounds per poll cycle so one firehose client cannot starve
   // the rest of the loop.
+  bool capped = true;
   for (int round = 0; round < 8 && !s.closing && !s.dead; ++round) {
     const fdio::IoResult r = fdio::read_some(s.fd, buf, sizeof buf);
-    if (r.would_block) break;
+    if (r.would_block) {
+      capped = false;
+      break;
+    }
     if (r.failed) {
       ++live_.io_errors;
       force_close(s, s.reader.mid_frame());
-      return;
+      return false;
     }
     if (r.n == 0) {  // EOF: drain what was accepted, flush, then close
       if (s.reader.mid_frame()) ++live_.midframe_disconnects;
@@ -271,6 +275,7 @@ void NetServer::read_ready(Session& s) {
       s.frame_open_ms = -1;
     }
   }
+  return capped && !s.closing && !s.dead;
 }
 
 void NetServer::handle_frame(Session& s, Frame frame) {
@@ -589,6 +594,8 @@ void NetServer::run() {
     // poll, so while any are outstanding the loop ticks fast; otherwise
     // it sleeps until the nearest timeout could possibly fire.
     const int timeout = futures_pending ? 2 : 100;
+    linger_.append_pollfds(&fds);
+    fd_session.resize(fds.size(), 0);
     const int nready = ::poll(fds.data(), fds.size(), timeout);
     if (nready < 0 && errno != EINTR) ++live_.io_errors;
     wake_.drain();
@@ -596,6 +603,14 @@ void NetServer::run() {
     if (stop_requested_.load(std::memory_order_acquire) && !draining_) {
       draining_ = true;
       drain_start = now_ms();
+      // Final read sweep: frames that arrived before the stop are
+      // accepted and answered like any other, past the per-cycle read
+      // cap; after it the drain reads nothing more. It runs before the
+      // listeners close, so a refused connect means it is done.
+      for (auto& [id, sp] : sessions_)
+        while (read_ready(*sp) &&
+               now_ms() - drain_start <= options_.drain_timeout_ms) {
+        }
       if (tcp_listener_ >= 0) ::close(tcp_listener_);
       if (unix_listener_ >= 0) {
         ::close(unix_listener_);
@@ -642,6 +657,7 @@ void NetServer::run() {
     }
 
     const double now = now_ms();
+    linger_.step(now);
     for (auto& [id, sp] : sessions_) {
       if (sp->dead) continue;
       resolve_fronts(*sp);
@@ -649,7 +665,9 @@ void NetServer::run() {
       enforce_timeouts(*sp, now);
       if (!sp->dead && sp->closing && sp->slots.empty() &&
           sp->outbuf.empty()) {
-        ::close(sp->fd);
+        // The peer may have pipelined more after a `quit` or an oversize
+        // frame: close with FIN after discarding it, never with a reset.
+        linger_.add(sp->fd, now + fdio::kLingerTimeoutMs);
         sp->fd = -1;
         sp->dead = true;
       }
@@ -681,14 +699,15 @@ void NetServer::run() {
       for (auto& [id, sp] : sessions_)
         if (!sp->dead && (!sp->slots.empty() || !sp->outbuf.empty()))
           work_left = true;
-      if (!work_left || now - drain_start > options_.drain_timeout_ms) {
+      const bool expired = now - drain_start > options_.drain_timeout_ms;
+      if (!work_left || expired) {
+        // Every reply is written: half-close each session and discard late
+        // input until the peer's EOF; `expired` still bounds the wait.
         for (auto& [id, sp] : sessions_)
-          if (!sp->dead) {
-            ::close(sp->fd);
-            sp->fd = -1;
-            sp->dead = true;
-          }
+          if (!sp->dead) linger_.add(sp->fd, now + fdio::kLingerTimeoutMs);
         sessions_.clear();
+        if (!linger_.empty() && !expired) continue;
+        linger_.close_all();
         std::lock_guard<std::mutex> lk(stats_mutex_);
         stats_ = live_;
         stats_.active_sessions = 0;

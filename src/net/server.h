@@ -26,10 +26,15 @@
 //               verbs and `stats` are sequenced in-order too); writes are
 //               nonblocking with short-write tolerance and a no-progress
 //               timeout.
-//   shutdown    request_stop() (async-signal-safe) stops accepting and
-//               reading, completes every accepted request, flushes every
-//               reply, then returns from run() — bounded by
+//   shutdown    request_stop() (async-signal-safe) reads once more what
+//               each session has already received, then stops accepting
+//               and reading, completes every accepted request, flushes
+//               every reply, then returns from run() — bounded by
 //               drain_timeout_ms.
+//   close       a session that ends after its last reply (drain, quit,
+//               oversize frame) closes with FIN, never a TCP reset: it is
+//               half-closed, late input is discarded until the peer's EOF
+//               or fdio::kLingerTimeoutMs, then closed (fdio::LingerSet).
 //
 // The loop itself is single-threaded; concurrency lives in the service's
 // dispatcher/pool. stats() may be called from any thread.
@@ -132,6 +137,9 @@ class NetServer {
   int tcp_port() const { return bound_tcp_port_; }
 
   // Runs the event loop until request_stop(), then drains and returns.
+  // The drain reads once more what has already arrived and answers it,
+  // then stops reading; sessions close with FIN after late input is
+  // discarded, never with a reset.
   void run();
 
   // Async-signal-safe stop request; run() drains and returns.
@@ -144,7 +152,9 @@ class NetServer {
   struct Pending;
 
   void accept_ready(int listener);
-  void read_ready(Session& s);
+  // Reads and parses what the peer sent; true when the per-cycle read
+  // cap, not an empty socket, ended it.
+  bool read_ready(Session& s);
   void handle_frame(Session& s, Frame frame);
   void pump_admission();
   void resolve_fronts(Session& s);
@@ -163,6 +173,7 @@ class NetServer {
   fdio::WakePipe wake_;
   std::atomic<bool> stop_requested_{false};
   bool draining_ = false;  // loop-thread-only; reported by `!health`
+  fdio::LingerSet linger_;  // closed sessions waiting for the peer's EOF
 
   std::uint64_t next_session_id_ = 1;
   std::map<std::uint64_t, std::unique_ptr<Session>> sessions_;

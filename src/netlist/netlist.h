@@ -67,7 +67,9 @@ class Netlist {
   // --- topology -------------------------------------------------------------
 
   // Gates in topological order (fanins before fanouts); DFF outputs are
-  // treated as sources. Cached; invalidated by add_gate.
+  // treated as sources. Cached; invalidated by add_gate. The first call
+  // after a change builds the cache, so it must not race with another
+  // call: warm it before sharing the netlist across threads.
   const std::vector<GateId>& topo_order() const;
 
   // Logic level of each gate: inputs/DFFs/constants at level 0, otherwise

@@ -185,6 +185,7 @@ ResponseMatrix build_response_matrix(const Netlist& nl, const FaultList& faults,
 
   std::unique_ptr<ThreadPool> pool;
   if (num_chunks > 1) {
+    nl.topo_order();  // every chunk's simulator reads the lazy topo cache
     pool = std::make_unique<ThreadPool>(threads);
     pool->parallel_for(0, num_chunks, run_chunk);
   } else if (num_chunks == 1) {

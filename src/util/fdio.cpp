@@ -12,6 +12,20 @@ namespace sddict::fdio {
 
 namespace {
 
+// Reads and throws away what the peer has sent so far (a bounded number
+// of reads, so a firehose peer cannot pin the caller). Returns false once
+// the peer's EOF or a read error ends the stream.
+bool discard_input(int fd) {
+  char sink[4096];
+  for (int round = 0; round < 8; ++round) {
+    const ssize_t got = ::read(fd, sink, sizeof sink);
+    if (got > 0) continue;
+    if (got < 0 && errno == EINTR) continue;
+    return got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  return true;
+}
+
 void set_fd_flag(int fd, int get, int set, int flag, const char* what) {
   const int flags = ::fcntl(fd, get);
   if (flags < 0 || ::fcntl(fd, set, flags | flag) < 0)
@@ -126,6 +140,35 @@ void WakePipe::drain() const {
   char sink[64];
   while (::read(fds_[0], sink, sizeof sink) > 0) {
   }
+}
+
+void LingerSet::add(int fd, double deadline_ms) {
+  ::shutdown(fd, SHUT_WR);
+  held_.push_back(Held{fd, deadline_ms});
+}
+
+void LingerSet::append_pollfds(std::vector<pollfd>* fds) const {
+  for (const Held& h : held_) fds->push_back(pollfd{h.fd, POLLIN, 0});
+}
+
+void LingerSet::step(double now_ms) {
+  for (std::size_t i = 0; i < held_.size();) {
+    if (discard_input(held_[i].fd) && now_ms < held_[i].deadline_ms) {
+      ++i;
+      continue;
+    }
+    ::close(held_[i].fd);
+    held_[i] = held_.back();
+    held_.pop_back();
+  }
+}
+
+void LingerSet::close_all() {
+  for (const Held& h : held_) {
+    discard_input(h.fd);
+    ::close(h.fd);
+  }
+  held_.clear();
 }
 
 }  // namespace sddict::fdio

@@ -15,8 +15,11 @@
 //       the fd — a mid-frame peer reset.
 #pragma once
 
-#include <cstddef>
+#include <poll.h>
 #include <sys/types.h>
+
+#include <cstddef>
+#include <vector>
 
 namespace sddict::fdio {
 
@@ -61,5 +64,45 @@ class WakePipe {
  private:
   int fds_[2];
 };
+
+// Lingering close for connected sockets. Closing a socket whose receive
+// queue still holds unread bytes makes the kernel answer with a TCP reset,
+// and a reset can destroy replies the peer has not read yet. add()
+// half-closes the fd instead (shutdown(SHUT_WR): the peer gets every byte
+// already written, then a FIN); step() reads and discards whatever the
+// peer still sends and closes the fd at its EOF, on a read error, or at
+// the fd's deadline. Discarding bypasses the net.read.* failpoints: none
+// of its bytes are used. Single-threaded, like the poll loops that own it.
+class LingerSet {
+ public:
+  LingerSet() = default;
+  ~LingerSet() { close_all(); }
+  LingerSet(const LingerSet&) = delete;
+  LingerSet& operator=(const LingerSet&) = delete;
+
+  // Takes ownership of `fd` and half-closes it; it is closed by
+  // deadline_ms at the latest (same clock as step()'s now_ms).
+  void add(int fd, double deadline_ms);
+  // Appends one POLLIN entry per held fd, so late input or the peer's EOF
+  // wakes the loop.
+  void append_pollfds(std::vector<pollfd>* fds) const;
+  // Discards pending input on every held fd; closes those that reached
+  // EOF, failed, or passed their deadline.
+  void step(double now_ms);
+  // Discards what is pending, then closes every held fd now.
+  void close_all();
+  bool empty() const { return held_.empty(); }
+
+ private:
+  struct Held {
+    int fd;
+    double deadline_ms;
+  };
+  std::vector<Held> held_;
+};
+
+// How long a half-closed session waits for the peer's EOF (a drain's own
+// deadline still cuts it short).
+inline constexpr double kLingerTimeoutMs = 2000;
 
 }  // namespace sddict::fdio

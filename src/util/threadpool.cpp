@@ -1,7 +1,5 @@
 #include "util/threadpool.h"
 
-#include <atomic>
-
 namespace sddict {
 namespace {
 
@@ -179,7 +177,11 @@ void ThreadPool::parallel_for_chunks(
     return;
   }
 
-  std::atomic<std::size_t> remaining{num_chunks};
+  // The barrier lives on this frame. Tasks count down and notify under
+  // done_mutex, so the wait below cannot see zero and unwind the frame
+  // while the last task may still touch the mutex or the condition
+  // variable.
+  std::size_t remaining = num_chunks;
   std::mutex done_mutex;
   std::condition_variable done_cv;
 
@@ -196,15 +198,13 @@ void ThreadPool::parallel_for_chunks(
           capture_error();
         }
       }
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        done_cv.notify_all();
-      }
+      std::lock_guard<std::mutex> lock(done_mutex);
+      if (--remaining == 0) done_cv.notify_all();
     });
   }
   {
     std::unique_lock<std::mutex> lock(done_mutex);
-    done_cv.wait(lock, [&] { return remaining.load() == 0; });
+    done_cv.wait(lock, [&] { return remaining == 0; });
   }
   if (std::exception_ptr err = take_error()) std::rethrow_exception(err);
 }

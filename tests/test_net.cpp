@@ -16,12 +16,16 @@
 //  * reaping: idle sessions and slow-loris partial frames are closed on
 //    their timeouts and tallied;
 //  * drain-on-shutdown: every accepted request is answered before run()
-//    returns.
+//    returns, and a frame that arrives too late to be read still ends in
+//    a clean EOF, never a reset.
 //
 // Registered under the "serving" ctest label; the tsan preset includes it.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -479,6 +483,46 @@ TEST(NetServing, DrainAnswersEveryAcceptedRequest) {
   EXPECT_EQ(s.in_flight, 0u);
   // The listener is gone: new connections are refused.
   EXPECT_THROW(server.connect(), std::runtime_error);
+}
+
+// A frame that arrives after the drain's final read sweep is never
+// accepted, but the session must still end with FIN: the server discards
+// the late input before closing, so the client reads every owed reply and
+// then a clean EOF. Closing with the frame unread would send a reset.
+TEST(NetServing, DrainClosesWithEofAfterLateFrame) {
+  TestServer server;
+  net::Client client = server.connect();
+  const auto obs = fault_observation(6);
+  const std::string frame = frame_text(obs);
+  client.send_raw(frame + frame + frame);
+  ASSERT_TRUE(server.wait_stats(
+      [](const net::NetStats& s) { return s.frames >= 3; }));
+  server.server().request_stop();
+  // The listener closes right after the sweep, so once connects are
+  // refused the next frame is late.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool refused = false;
+  while (!refused && std::chrono::steady_clock::now() < deadline) {
+    try {
+      server.connect();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    } catch (const std::runtime_error&) {
+      refused = true;
+    }
+  }
+  ASSERT_TRUE(refused);
+  client.send_raw(frame);
+  for (int i = 0; i < 3; ++i) {
+    const net::Reply reply = client.read_reply();
+    EXPECT_FALSE(reply.busy) << "reply " << i;
+    EXPECT_EQ(canonical(reply.lines), expected_reply(obs)) << "reply " << i;
+  }
+  char byte = 0;
+  const ssize_t n = ::read(client.fd(), &byte, 1);
+  EXPECT_EQ(n, 0) << (n < 0 ? std::strerror(errno) : "unexpected data");
+  server.stop();
+  EXPECT_EQ(server.stats().frames, 3u);
 }
 
 }  // namespace
